@@ -107,6 +107,10 @@ class _SimulatingBackend:
         self.margin = margin
         self.log = ExplorationLog()
         self._cache: dict[str, HierarchyStats] = {}
+        #: CPI_exe per perfect-run key (:func:`repro.sim.stats.perfect_run_key`):
+        #: a walk's candidates mostly share the incumbent's core knobs, so
+        #: their perfect-L1 runs repeat across steps.
+        self._cpi_exe: dict[tuple, float] = {}
         self._profiles: dict[int, object] = {}
 
     def _locality_profile(self, line_bytes: int):
@@ -196,7 +200,8 @@ class _SimulatingBackend:
 
             fresh_configs = list(fresh.values())
             pairs = simulate_and_measure_batch(
-                fresh_configs, self.trace, seed=self.seed, warm=self.warm
+                fresh_configs, self.trace, seed=self.seed, warm=self.warm,
+                cpi_exe_memo=self._cpi_exe,
             )
             for key, config, (_, stats) in zip(fresh, fresh_configs, pairs):
                 self._cache[key] = stats

@@ -35,8 +35,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
@@ -57,9 +55,6 @@ from repro.sim.prefetch import (
 from repro.sim.records import AccessRecords, InstructionRecords
 from repro.util.validation import check_int
 from repro.workloads.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batch import BatchHierarchySimulator
 
 __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult"]
 
@@ -223,19 +218,18 @@ class HierarchySimulator:
     def __init__(
         self, config: MachineConfig, *, seed: int = 0, engine: str = "auto"
     ) -> None:
-        if engine not in ("auto", "fast", "reference", "batch"):
+        if engine not in ("auto", "fast", "reference"):
             raise ConfigError(
-                "engine must be 'auto', 'fast', 'reference' or 'batch', "
-                f"got {engine!r}"
+                "engine must be 'auto', 'fast' or 'reference', "
+                f"got {engine!r} (many configs over one trace: "
+                "repro.sim.batch.BatchHierarchySimulator)"
             )
         self.config = config
         self.seed = seed
         #: Issue-loop selection: ``auto`` takes the specialized fast loop
         #: whenever the configuration is eligible, ``reference`` always runs
-        #: the obviously-correct loop, ``fast`` demands the fast loop and
-        #: raises when the configuration cannot use it, ``batch`` routes
-        #: through the vectorized batch kernel (:mod:`repro.sim.batch`) as
-        #: a single-lane batch and raises eagerly on ineligible configs.
+        #: the obviously-correct loop, and ``fast`` demands the fast loop and
+        #: raises when the configuration cannot use it.
         self.engine = engine
         self.reset()
         if engine == "fast":
@@ -290,22 +284,12 @@ class HierarchySimulator:
                     f"got {type(cfg.l1_bypass).__name__}"
                 )
             self.bypass = StreamDetector(cfg.l1_bypass, cfg.l1.line_bytes)
-        # Single-lane delegate for engine="batch"; its constructor raises
-        # ConfigError eagerly when the config is ineligible for batching.
-        self._batch: "BatchHierarchySimulator | None" = None
-        if self.engine == "batch":
-            from repro.sim.batch import BatchHierarchySimulator
-
-            self._batch = BatchHierarchySimulator([cfg], seed=self.seed)
 
     def warm_caches(self, trace: Trace) -> None:
         """Touch the trace's addresses functionally (no timing, no stats).
 
         Used to measure steady-state behaviour without cold-start misses.
         """
-        if self._batch is not None:
-            self._batch.warm_caches(trace)
-            return
         addresses = trace.memory_addresses
         caches = [self.l1_cache, self.l2_cache]
         if self.l3_cache is not None:
@@ -324,11 +308,6 @@ class HierarchySimulator:
         resize the caches).  In-flight timing at the boundary is carried by
         the next :meth:`run` call's ``start_cycle``.
         """
-        if self._batch is not None:
-            raise ConfigError(
-                "engine='batch' does not support reconfigure(); use the "
-                "auto/fast/reference engines for online reconfiguration"
-            )
         if config.l1 != self.config.l1 or config.l2 != self.config.l2:
             raise ConfigError("reconfigure() cannot change cache geometry")
         old = self.config
@@ -380,9 +359,7 @@ class HierarchySimulator:
         per-instruction loop itself is never instrumented, so the disabled
         fast path costs two boolean checks per run.
         """
-        if self._batch is not None:
-            impl = self._run_impl_batch
-        elif self._use_fast_path():
+        if self._use_fast_path():
             impl = self._run_impl_fast
         else:
             impl = self._run_impl
@@ -458,29 +435,6 @@ class HierarchySimulator:
             reg.counter("sim.l3.hits").inc(n_l3 - l3_miss)
             reg.counter("sim.l3.misses").inc(l3_miss)
         reg.counter("sim.mem.accesses").inc(len(acc.mem_start))
-
-    def _run_impl_batch(
-        self,
-        trace: Trace,
-        *,
-        perfect: bool = False,
-        start_cycle: int = 0,
-        stop_cycle: "int | None" = None,
-        resume: bool = False,
-    ) -> SimulationResult:
-        """Route one run through the vectorized kernel as a 1-lane batch."""
-        batch = self._batch
-        if batch is None:  # pragma: no cover - run() dispatches here only then
-            raise ConfigError("batch delegate not initialised")
-        if resume:
-            raise ConfigError(
-                "engine='batch' does not support resume=True; use the "
-                "auto/fast/reference engines for quantum continuation"
-            )
-        return batch.run(
-            trace, perfect=perfect, start_cycle=start_cycle,
-            stop_cycle=stop_cycle,
-        )[0]
 
     def _run_impl(
         self,

@@ -30,6 +30,7 @@ from repro.core.analyzer import LayerMeasurement, measure_layer
 from repro.core.lpm import LPMRReport
 from repro.core.stall import StallModel
 from repro.lint.contracts import satisfies
+from repro.obs import metrics as obs_metrics
 from repro.sim.engine import HierarchySimulator, SimulationResult
 from repro.sim.params import MachineConfig
 from repro.util.validation import safe_ratio
@@ -38,6 +39,7 @@ from repro.workloads.trace import Trace
 __all__ = [
     "HierarchyStats",
     "measure_hierarchy",
+    "perfect_run_key",
     "simulate_and_measure",
     "simulate_and_measure_batch",
 ]
@@ -280,6 +282,20 @@ def simulate_and_measure(
     return result, stats
 
 
+def perfect_run_key(config: MachineConfig, trace: Trace, seed: int) -> tuple:
+    """Identity of a batch-eligible config's perfect-L1 (CPI_exe) run.
+
+    With ``perfect=True`` every L1 access hits in ``l1_hit_time`` with no
+    port contention, so on the batch-eligible engines the run never reaches
+    a cache, port, MSHR, bank or DRAM: its records depend on nothing but
+    the trace content, the core knobs (:class:`~repro.sim.params.CoreParams`),
+    the L1 hit time and the simulator seed.  Configs with equal keys have
+    equal CPI_exe, which :func:`simulate_and_measure_batch` computes once per
+    key.
+    """
+    return (trace.content_digest(), config.core, config.l1_hit_time, seed)
+
+
 def simulate_and_measure_batch(
     configs: "list[MachineConfig]",
     trace: Trace,
@@ -287,16 +303,23 @@ def simulate_and_measure_batch(
     seed: int = 0,
     warm: bool = True,
     require_eligible: bool = False,
+    cpi_exe_memo: "dict[tuple, float] | None" = None,
 ) -> "list[tuple[SimulationResult, HierarchyStats]]":
-    """:func:`simulate_and_measure` for N configs in two batch kernel calls.
+    """:func:`simulate_and_measure` for N configs in two batch calls.
 
-    Batch-eligible configs run on the vectorized kernel (one perfect pass
-    for CPI_exe, one warmed real pass — the same fresh-simulator semantics
-    as the scalar path, so results are bit-identical to it); ineligible
+    Batch-eligible configs run on the batch engine (one perfect pass for
+    CPI_exe, one warmed real pass — the same fresh-simulator semantics as
+    the scalar path, so results are bit-identical to it); ineligible
     configs fall back to per-config scalar evaluation.  Results come back
     in input order.  With ``require_eligible=True`` an ineligible config
     raises :class:`~repro.runtime.errors.ConfigError` instead of falling
     back (the ``engine="batch"`` contract).
+
+    The perfect pass runs once per distinct :func:`perfect_run_key`, not
+    once per config.  *cpi_exe_memo* (key -> CPI_exe), when given, carries
+    those values across calls: keys already in it are not re-run, and new
+    ones are added to it.  Each eligible config whose CPI_exe came from an
+    earlier lane or call counts as one ``sim.cpi_exe_memo_hits``.
     """
     from repro.sim.batch import BatchHierarchySimulator, partition_eligible
 
@@ -307,15 +330,27 @@ def simulate_and_measure_batch(
     out: "list[tuple[SimulationResult, HierarchyStats] | None]" = [None] * len(configs)
     if eligible:
         batch_configs = [configs[i] for i in eligible]
-        perfect = BatchHierarchySimulator(batch_configs, seed=seed).run(
-            trace, perfect=True
-        )
+        memo = {} if cpi_exe_memo is None else cpi_exe_memo
+        keys = [perfect_run_key(c, trace, seed) for c in batch_configs]
+        missing: "dict[tuple, MachineConfig]" = {}
+        for key, config in zip(keys, batch_configs):
+            if key not in memo:
+                missing.setdefault(key, config)
+        if missing:
+            perfect = BatchHierarchySimulator(list(missing.values()), seed=seed).run(
+                trace, perfect=True
+            )
+            for key, pres in zip(missing, perfect):
+                memo[key] = pres.cpi
+        hits = len(batch_configs) - len(missing)
+        if hits and obs_metrics.metrics_enabled():
+            obs_metrics.get_registry().counter("sim.cpi_exe_memo_hits").inc(hits)
         sim = BatchHierarchySimulator(batch_configs, seed=seed)
         if warm:
             sim.warm_caches(trace)
         results = sim.run(trace)
-        for idx, pres, res in zip(eligible, perfect, results):
-            out[idx] = (res, measure_hierarchy(res, cpi_exe=pres.cpi))
+        for idx, key, res in zip(eligible, keys, results):
+            out[idx] = (res, measure_hierarchy(res, cpi_exe=memo[key]))
     for idx in fallback:
         out[idx] = simulate_and_measure(
             configs[idx], trace, seed=seed, warm=warm

@@ -37,6 +37,8 @@ SCALE_DOWN = {
     "BENCH_ACCESSES": 1_200,
     "N_RANDOM_SEEDS": 2,
     "INTERVAL": 1_500,
+    "CROSSOVER_ACCESSES": 150,
+    "CROSSOVER_ROUNDS": 1,
 }
 #: Reduced shared-fixture sizes (conftest uses 60_000 / 20_000).
 SMOKE_BWAVES_ACCESSES = 4_000

@@ -1,18 +1,23 @@
 """Bit-for-bit equivalence of the fast, batch and reference engines.
 
 The fast path (`engine="fast"`) and the vectorized batch kernel
-(`engine="batch"`, :mod:`repro.sim.batch`) are specializations of the
-reference issue loop, not approximations: on every eligible
-workload/machine pair they must produce byte-identical access records,
-instruction records and component statistics.  This suite sweeps the
-workload-generator matrix (strided / working-set / zipf / pointer-chase),
-warm and cold caches, and the Table I machines three ways; the batch
-kernel additionally runs *multi-lane* — one kernel call stepping a
-heterogeneous config slice — against per-config reference runs, with
-failure diffs that name the config lane, the divergent field and the
-first divergent row.  The eligibility gates are pinned down too (prefetch
-or non-LRU replacement fall back under `engine="auto"`, reject
-`engine="fast"`/`engine="batch"` outright).
+(:mod:`repro.sim.batch`) are specializations of the reference issue loop,
+not approximations: on every eligible workload/machine pair they must
+produce byte-identical access records, instruction records and component
+statistics.  This suite sweeps the workload-generator matrix (strided /
+working-set / zipf / pointer-chase), warm and cold caches, and the Table I
+machines three ways; the batch kernel additionally runs *multi-lane* — one
+kernel call stepping a heterogeneous config slice — against per-config
+reference runs, with failure diffs that name the config lane, the
+divergent field and the first divergent row.
+
+Every batch run here calls :meth:`BatchHierarchySimulator._run_kernel`
+directly: ``run`` steps batches below ``_MIN_VECTOR_LANES`` lanes on the
+scalar fast loop, and the kernel must stay covered at every lane count
+(``TestKernelLaneCounts`` steps 1 to 64).  The eligibility gates are
+pinned down too (prefetch or non-LRU replacement fall back under
+`engine="auto"`, reject `engine="fast"` and the batch constructor
+outright).
 """
 
 import dataclasses
@@ -98,11 +103,29 @@ def _assert_identical(res_got, res_ref, *, lane: str = "single") -> None:
     )
 
 
+class _KernelLane:
+    """One config stepped by the vectorized kernel, shaped like a scalar
+    simulator (``run`` returns the lane's result)."""
+
+    def __init__(self, config: MachineConfig) -> None:
+        self._batch = BatchHierarchySimulator([config], seed=0)
+
+    def run(self, trace: Trace, **kwargs):
+        return self._batch._run_kernel(trace, **kwargs)[0]
+
+
+def _simulator(config: MachineConfig, engine: str):
+    """A scalar engine, or ``"kernel"`` for a one-lane kernel batch."""
+    if engine == "kernel":
+        return _KernelLane(config)
+    return HierarchySimulator(config, seed=0, engine=engine)
+
+
 def _run_both(config: MachineConfig, trace: Trace, *, warm: bool,
               engines=("fast", "reference")):
     results = []
     for engine in engines:
-        sim = HierarchySimulator(config, seed=0, engine=engine)
+        sim = _simulator(config, engine)
         if warm:
             sim.run(trace)
             results.append(sim.run(trace))
@@ -126,8 +149,8 @@ def _batch_runs(configs, trace, *, warm: bool, perfect: bool = False,
                 stop_cycle=None):
     sim = BatchHierarchySimulator(configs, seed=0)
     if warm:
-        sim.run(trace)
-    return sim.run(trace, perfect=perfect, stop_cycle=stop_cycle)
+        sim._run_kernel(trace)
+    return sim._run_kernel(trace, perfect=perfect, stop_cycle=stop_cycle)
 
 
 def _assert_batch_matches_reference(configs, trace, *, warm: bool,
@@ -148,7 +171,7 @@ class TestGeneratorMatrix:
     def test_bit_identical(self, kind, warm):
         res_fast, res_batch, res_ref = _run_both(
             DEFAULT_MACHINE, _make_trace(kind), warm=warm,
-            engines=("fast", "batch", "reference"),
+            engines=("fast", "kernel", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
@@ -157,7 +180,7 @@ class TestGeneratorMatrix:
     def test_table1_machines(self, label):
         res_fast, res_batch, res_ref = _run_both(
             table1_config(label), _make_trace("working_set"), warm=False,
-            engines=("fast", "batch", "reference"),
+            engines=("fast", "kernel", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
@@ -168,15 +191,15 @@ class TestGeneratorMatrix:
         trace = get_benchmark("403.gcc").trace(3_000, seed=1)
         res_fast, res_batch, res_ref = _run_both(
             DEFAULT_MACHINE, trace, warm=False,
-            engines=("fast", "batch", "reference"),
+            engines=("fast", "kernel", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
 
     def test_stop_cycle_truncation(self):
         trace = _make_trace("working_set")
-        sims = [HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=e)
-                for e in ("fast", "batch", "reference")]
+        sims = [_simulator(DEFAULT_MACHINE, e)
+                for e in ("fast", "kernel", "reference")]
         res_fast, res_batch, res_ref = (
             s.run(trace, stop_cycle=5_000) for s in sims
         )
@@ -225,12 +248,50 @@ class TestBatchMultiLane:
         refs = [HierarchySimulator(c, seed=0, engine="reference")
                 for c in BATCH_SLICE]
         for round_no in range(2):
-            got = batch.run(trace)
+            got = batch._run_kernel(trace)
             for idx, (config, ref) in enumerate(zip(BATCH_SLICE, refs)):
                 _assert_identical(
                     got[idx], ref.run(trace),
                     lane=f"round {round_no}, lane {idx} ({config.name})",
                 )
+
+
+class TestKernelLaneCounts:
+    """The kernel at every lane count from 1 to 64 == per-config fast runs.
+
+    ``run`` only reaches the kernel from ``_MIN_VECTOR_LANES`` lanes up, so
+    this pins the kernel itself below the crossover too: one warmed kernel
+    call per prefix of a shuffled 64-config Table I grid.
+    """
+
+    def test_every_lane_count(self):
+        import itertools
+        import random
+
+        from repro.workloads.spec import get_benchmark
+
+        trace = get_benchmark("429.mcf").trace(200, seed=3)
+        grid = {
+            "issue_width": (4, 8), "iw_size": (32, 128), "rob_size": (32, 128),
+            "l1_ports": (1, 4), "mshr_count": (4, 16), "l2_banks": (4, 16),
+        }
+        configs = [
+            DEFAULT_MACHINE.with_knobs(name=f"g{i}", **dict(zip(grid, values)))
+            for i, values in enumerate(itertools.product(*grid.values()))
+        ]
+        random.Random(0).shuffle(configs)
+        want = []
+        for config in configs:
+            sim = HierarchySimulator(config, seed=0, engine="fast")
+            sim.warm_caches(trace)
+            want.append(sim.run(trace))
+        for lanes in range(1, len(configs) + 1):
+            sim = BatchHierarchySimulator(configs[:lanes], seed=0)
+            sim.warm_caches(trace)
+            got = sim._run_kernel(trace)
+            for idx, res in enumerate(got):
+                _assert_identical(res, want[idx],
+                                  lane=f"{lanes} lanes, lane {idx}")
 
 
 SPEC_PROFILES_16 = [
@@ -317,18 +378,24 @@ class TestBatchEligibilityGate:
             BatchHierarchySimulator([], seed=0)
 
     def test_engine_batch_rejects_ineligible_scalar(self):
-        with pytest.raises(ConfigError):
-            HierarchySimulator(self._prefetch_config(), seed=0, engine="batch")
+        # A single ineligible config is refused by the batch constructor
+        # itself, eagerly — before any trace is seen.
+        with pytest.raises(ConfigError, match="prefetching"):
+            BatchHierarchySimulator([self._prefetch_config()], seed=0)
 
     def test_engine_batch_matches_reference_single_lane(self):
         trace = _make_trace("zipf")
-        res_batch = HierarchySimulator(
-            DEFAULT_MACHINE, seed=0, engine="batch"
-        ).run(trace)
+        res_batch = _KernelLane(DEFAULT_MACHINE).run(trace)
         res_ref = HierarchySimulator(
             DEFAULT_MACHINE, seed=0, engine="reference"
         ).run(trace)
         _assert_identical(res_batch, res_ref, lane="batch")
+
+    def test_scalar_simulator_has_no_batch_engine(self):
+        # The single-lane engine="batch" delegate is gone; batches of any
+        # size go through BatchHierarchySimulator.
+        with pytest.raises(ConfigError, match="BatchHierarchySimulator"):
+            HierarchySimulator(DEFAULT_MACHINE, seed=0, engine="batch")
 
     def test_partition_eligible_splits_by_gate(self):
         non_lru = dataclasses.replace(
