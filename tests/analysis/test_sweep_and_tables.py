@@ -50,6 +50,18 @@ class TestSweepEngines:
             assert per_engine[engine].labels == base.labels
             assert per_engine[engine].stats == base.stats
 
+    def test_all_engines_agree_on_kernel_path(self, trace, monkeypatch):
+        # Two lanes step the scalar fast loop under the default crossover;
+        # lowered to one lane, the batch engine runs the vectorized kernel.
+        from repro.sim import batch as batch_mod
+
+        configs = [table1_config("A"), table1_config("C")]
+        scalar = sweep_configs(configs, trace, seed=1, engine="scalar")
+        monkeypatch.setattr(batch_mod, "_MIN_VECTOR_LANES", 1)
+        batch = sweep_configs(configs, trace, seed=1, engine="batch")
+        assert batch.labels == scalar.labels
+        assert batch.stats == scalar.stats
+
     def test_unknown_engine_rejected(self, trace):
         with pytest.raises(ValueError):
             sweep_configs([table1_config("A")], trace, engine="turbo")

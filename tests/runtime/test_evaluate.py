@@ -140,6 +140,15 @@ class TestBatchEvaluate:
         assert rt.counters.simulations == 3
         assert all(v == "simulated" for v in rt.last_sources.values())
 
+    def test_matches_evaluate_many_on_kernel_path(self, trace, monkeypatch):
+        # Lowering the crossover to one lane sends these few-lane batch
+        # jobs through the vectorized kernel instead of the scalar loop.
+        from repro.sim import batch as batch_mod
+
+        scalar = EvaluationRuntime().evaluate_many(_requests(trace, "ABC"))
+        monkeypatch.setattr(batch_mod, "_MIN_VECTOR_LANES", 1)
+        assert EvaluationRuntime().evaluate_batch(_requests(trace, "ABC")) == scalar
+
     def test_groups_by_seed_and_warm(self, trace):
         # Mixed (seed, warm) groups dispatch as separate batch jobs but a
         # single call; every result must match its scalar counterpart.
