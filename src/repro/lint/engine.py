@@ -42,6 +42,7 @@ __all__ = [
     "lint_source",
     "run_lint",
     "iter_python_files",
+    "walk",
 ]
 
 #: ``# repro: noqa[NUM001,ERR001] -- justification`` (the justification text
@@ -99,6 +100,22 @@ class Violation:
         return data
 
 
+def walk(node: ast.AST) -> tuple[ast.AST, ...]:
+    """Every node under *node*, itself included, in ``ast.walk`` BFS order.
+
+    Both lint tiers walk the same modules and functions many times over,
+    so the tuple is computed once per node and stored on it as
+    ``repro_walk`` (as :class:`ModuleContext` stores ``repro_parent``):
+    the memo lives exactly as long as the tree.  It stays exact because
+    no rule mutates a tree after parsing.
+    """
+    nodes: "tuple[ast.AST, ...] | None" = getattr(node, "repro_walk", None)
+    if nodes is None:
+        nodes = tuple(ast.walk(node))
+        node.repro_walk = nodes  # type: ignore[attr-defined]
+    return nodes
+
+
 class ModuleContext:
     """Everything a rule needs to know about one parsed module."""
 
@@ -123,9 +140,15 @@ class ModuleContext:
 
     # -- construction helpers -------------------------------------------------
     def _annotate_parents(self) -> None:
-        for parent in ast.walk(self.tree):
+        # One BFS pass links every child to its parent and records the
+        # module's walk order (the list grows while it is iterated, which
+        # visits nodes exactly as ``ast.walk``'s queue does).
+        order: list[ast.AST] = [self.tree]
+        for parent in order:
             for child in ast.iter_child_nodes(parent):
                 child.repro_parent = parent  # type: ignore[attr-defined]
+                order.append(child)
+        self.tree.repro_walk = tuple(order)  # type: ignore[attr-defined]
 
     def _parse_noqa(self) -> None:
         for lineno, line in enumerate(self.lines, start=1):
@@ -136,7 +159,7 @@ class ModuleContext:
                 self.noqa_justified[lineno] = bool(_NOQA_JUSTIFIED_RE.search(line))
 
     def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.import_aliases[alias.asname or alias.name.split(".")[0]] = alias.name

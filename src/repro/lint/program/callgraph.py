@@ -42,6 +42,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.lint.engine import walk
 from repro.lint.program.symbols import FunctionInfo, ModuleInfo, ProgramModel
 
 __all__ = [
@@ -209,7 +210,7 @@ def _self_attr_types(
             for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
             if a.annotation is not None
         }
-        for stmt in ast.walk(init.node):
+        for stmt in walk(init.node):
             targets: "list[ast.expr]" = []
             value: "ast.expr | None" = None
             if isinstance(stmt, ast.Assign):
@@ -348,11 +349,11 @@ def build_call_graph(model: ProgramModel) -> CallGraph:
                 kinds.setdefault(site.callee, set()).add(site.kind)
 
         spawn_inner: "set[int]" = set()
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             if isinstance(node, ast.Call):
                 for inner in _spawn_wrapped_calls(info, node):
                     spawn_inner.add(id(inner))
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             if not isinstance(node, ast.Call):
                 continue
             in_async = in_async_context(info, node)
@@ -413,11 +414,11 @@ def _escaped_function_refs(
     positions are excluded — those are ordinary edges of the call graph.
     """
     call_positions = {
-        id(node.func) for node in ast.walk(func.node) if isinstance(node, ast.Call)
+        id(node.func) for node in walk(func.node) if isinstance(node, ast.Call)
     }
     # Exclude sub-expressions of call positions (``a.b`` inside ``a.b()``).
     refs: "set[str]" = set()
-    for node in ast.walk(func.node):
+    for node in walk(func.node):
         if not isinstance(node, (ast.Name, ast.Attribute)):
             continue
         if id(node) in call_positions:
@@ -440,7 +441,7 @@ def _is_pool_dispatcher(info: ModuleInfo, func: FunctionInfo) -> bool:
     ``worker_setup`` attribute — the three ways code crosses the fork
     boundary in this codebase.
     """
-    for node in ast.walk(func.node):
+    for node in walk(func.node):
         if isinstance(node, ast.Call):
             target = node.func
             name = (

@@ -29,6 +29,7 @@ import ast
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
+from repro.lint.engine import walk
 from repro.lint.program.callgraph import CallGraph, in_async_context
 from repro.lint.program.symbols import (
     FunctionInfo,
@@ -463,7 +464,7 @@ def _local_names(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> "set[str]":
     if func.args.kwarg:
         names.add(func.args.kwarg.arg)
     declared_global: "set[str]" = set()
-    for node in ast.walk(func):
+    for node in walk(func):
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             declared_global.update(node.names)
         for definition in _defs_of_statement(node) if isinstance(node, ast.stmt) else ():
@@ -580,7 +581,7 @@ class EffectAnalysis:
         out = FunctionEffects(ref=func.ref)
         locals_ = _local_names(func.node)
         declared_global: "set[str]" = set()
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
 
@@ -613,7 +614,7 @@ class EffectAnalysis:
                 )
             )
 
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             # -- writes ------------------------------------------------------
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (

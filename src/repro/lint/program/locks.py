@@ -32,6 +32,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.lint.engine import walk
 from repro.lint.program.callgraph import CallGraph
 from repro.lint.program.symbols import FunctionInfo, ModuleInfo, ProgramModel
 
@@ -134,7 +135,7 @@ class LockAnalysis:
                 func = info.functions[qualname]
                 if func.class_name is None or func.name != "__init__":
                     continue
-                for node in ast.walk(func.node):
+                for node in walk(func.node):
                     if not isinstance(node, ast.Assign):
                         continue
                     for target in node.targets:
@@ -187,7 +188,7 @@ class LockAnalysis:
         for func in self.model.functions():
             info = self.model.modules[func.module]
             acqs: "list[Acquisition]" = []
-            for node in ast.walk(func.node):
+            for node in walk(func.node):
                 if not isinstance(node, (ast.With, ast.AsyncWith)):
                     continue
                 for item in node.items:
@@ -228,7 +229,7 @@ class LockAnalysis:
             if not acqs:
                 continue
             for outer in acqs:
-                inside = {id(n) for n in ast.walk(outer.node)} - {id(outer.node)}
+                inside = {id(n) for n in walk(outer.node)} - {id(outer.node)}
                 # Lexical nesting: an inner with under the outer's body.
                 for inner in acqs:
                     if id(inner.node) in inside and inner.lock.ref != outer.lock.ref:

@@ -17,7 +17,7 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.lint.engine import Severity, Violation
+from repro.lint.engine import Severity, Violation, walk
 from repro.lint.program.callgraph import (
     CallGraph,
     EntryPoints,
@@ -432,7 +432,7 @@ class RNGProvenance(ProgramRule):
             info = pctx.module_for(func)
             in_target = _module_has_segments(func.module, _RNG_TARGET_MODULES)
             tainted = self._tainted_definitions(info, func)
-            for node in ast.walk(func.node):
+            for node in walk(func.node):
                 if not isinstance(node, ast.Call):
                     continue
                 if in_target and _is_banned_rng_call(info, node):
@@ -716,7 +716,7 @@ class OrphanedCoroutine(ProgramRule):
         self, pctx: ProgramContext, info: ModuleInfo, func: FunctionInfo
     ) -> Iterator[Violation]:
         rd: "ReachingDefs | None" = None
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             if not isinstance(node, ast.stmt):
                 continue
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
@@ -786,7 +786,7 @@ class OrphanedCoroutine(ProgramRule):
         rd: ReachingDefs,
         definition: Definition,
     ) -> bool:
-        for node in ast.walk(func.node):
+        for node in walk(func.node):
             if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
                 continue
             if node.id != definition.name:

@@ -44,6 +44,7 @@ import ast
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.lint.engine import walk
 from repro.lint.program.callgraph import (
     CallGraph,
     _module_has_segments,
@@ -140,6 +141,10 @@ class Interval:
 
     # -- lattice -----------------------------------------------------------
     def join(self, other: "Interval") -> "Interval":
+        # Env.copy() shares values, so most merges join a value with
+        # itself; that join (and widen below) is exactly self.
+        if other is self:
+            return self
         if self.lo < other.lo:
             lo, lo_open = self.lo, self.lo_open
         elif other.lo < self.lo:
@@ -178,6 +183,8 @@ class Interval:
         Stable bounds keep their endpoints (and stay open only when both
         sides agree they are open — openness must never tighten here).
         """
+        if newer is self:
+            return self
         if newer.lo < self.lo:
             lo, lo_open = -_INF, False
         else:
@@ -432,6 +439,8 @@ class AbstractValue:
     unit: str = UNIT_UNKNOWN
 
     def join(self, other: "AbstractValue") -> "AbstractValue":
+        if other is self:
+            return self
         return AbstractValue(
             self.interval.join(other.interval), unit_join(self.unit, other.unit)
         )
@@ -1566,7 +1575,7 @@ def _read_site(
     # clamp-floor: literal args of max(...) calls tied to the name.
     values: "list[float]" = []
     lineno = 1
-    for node in ast.walk(info.ctx.tree):
+    for node in walk(info.ctx.tree):
         if not (isinstance(node, ast.Call) and _is_max_call(info, node)):
             continue
         if not _mentions(info, node, site.name):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = [
     "ModuleLevelMutableGlobal",
@@ -88,7 +88,7 @@ class ModuleLevelMutableGlobal(Rule):
 def _worker_entry_functions(ctx: ModuleContext) -> "list[ast.FunctionDef]":
     """Functions that run on the worker side of a Process fork."""
     targets: set[str] = set()
-    for node in ast.walk(ctx.tree):
+    for node in walk(ctx.tree):
         if isinstance(node, ast.Call):
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else (
                 node.func.id if isinstance(node.func, ast.Name) else None
@@ -98,7 +98,7 @@ def _worker_entry_functions(ctx: ModuleContext) -> "list[ast.FunctionDef]":
                     if kw.arg == "target" and isinstance(kw.value, ast.Name):
                         targets.add(kw.value.id)
     entries = []
-    for node in ast.walk(ctx.tree):
+    for node in walk(ctx.tree):
         if isinstance(node, ast.FunctionDef) and (
             node.name in targets or node.name.startswith("_worker")
         ):
@@ -128,7 +128,7 @@ class WorkerSideSharedMutation(Rule):
                 local_names.add(func.args.vararg.arg)
             if func.args.kwarg:
                 local_names.add(func.args.kwarg.arg)
-            for node in ast.walk(func):
+            for node in walk(func):
                 if isinstance(node, (ast.Global, ast.Nonlocal)):
                     kind = "global" if isinstance(node, ast.Global) else "nonlocal"
                     yield self.violation(
@@ -201,7 +201,7 @@ class UnboundedServiceAwait(Rule):
     packages = ("service",)
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Await):
                 continue
             call = node.value

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["UndeclaredReportProducer"]
 
@@ -49,7 +49,7 @@ class UndeclaredReportProducer(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         reported: set[ast.AST] = set()
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Return) or node.value is None:
                 continue
             call = node.value

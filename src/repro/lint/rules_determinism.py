@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["BannedNondeterministicCall", "SetIterationOrder"]
 
@@ -51,7 +51,7 @@ class BannedNondeterministicCall(Rule):
             module.split(".")[0]
             for module in (*ctx.import_aliases.values(), *ctx.from_imports.values())
         }
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             chain = ctx.resolve_call_chain(node.func)
@@ -104,7 +104,7 @@ class SetIterationOrder(Rule):
     packages = ("sim", "core", "workloads")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             iters: list[ast.AST] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)

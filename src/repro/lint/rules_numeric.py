@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["UnguardedModelDivision", "FloatEqualityComparison", "FloatLiteralInfNan"]
 
@@ -73,7 +73,7 @@ def _terminal_name(node: ast.AST) -> "str | None":
 def _names_in(node: ast.AST) -> set[str]:
     """Every identifier (Name ids and Attribute attrs) under *node*."""
     names: set[str] = set()
-    for sub in ast.walk(node):
+    for sub in walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -84,7 +84,7 @@ def _names_in(node: ast.AST) -> set[str]:
 def _guarded_names(func: ast.AST) -> set[str]:
     """Names that appear in any branch/assert test or validator call in *func*."""
     guarded: set[str] = set()
-    for node in ast.walk(func):
+    for node in walk(func):
         if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
             guarded |= _names_in(node.test)
         elif isinstance(node, ast.comprehension):
@@ -110,7 +110,7 @@ def _post_init_validated_fields(cls: ast.ClassDef) -> set[str]:
     validated: set[str] = set()
     for stmt in cls.body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__":
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
                 callee = _terminal_name(node.func)
@@ -138,7 +138,7 @@ class UnguardedModelDivision(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         class_fields: dict[ast.ClassDef, set[str]] = {}
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.BinOp):
                 continue
             if not isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
@@ -182,7 +182,7 @@ class FloatEqualityComparison(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -212,7 +212,7 @@ class FloatLiteralInfNan(Rule):
     description = 'float("inf"/"nan") literal; use math.inf / math.nan'
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

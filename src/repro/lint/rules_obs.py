@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["WallClockDuration", "DirectPrint"]
 
@@ -44,7 +44,7 @@ class WallClockDuration(Rule):
     packages = ("obs", "runtime", "service")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             chain = ctx.resolve_call_chain(node.func)
@@ -72,7 +72,7 @@ class DirectPrint(Rule):
     packages = ("obs", "runtime", "service")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["SpanInHotLoop"]
 
@@ -37,7 +37,7 @@ def _is_obs_chain(chain: "list[str] | None") -> bool:
 
 
 def _test_calls_guard(ctx: ModuleContext, test: ast.AST) -> bool:
-    for node in ast.walk(test):
+    for node in walk(test):
         if isinstance(node, ast.Call):
             chain = ctx.resolve_call_chain(node.func)
             if chain and chain[-1] in _GUARDS:
@@ -59,7 +59,7 @@ class SpanInHotLoop(Rule):
     packages = ("sim", "core", "analysis")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             if not _is_obs_chain(ctx.resolve_call_chain(node.func)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
+from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register, walk
 
 __all__ = ["BroadExceptionHandler", "TaxonomyBypassRaise"]
 
@@ -42,7 +42,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     """Whether the handler re-raises (a bare ``raise`` anywhere in its body)."""
     return any(
         isinstance(node, ast.Raise) and node.exc is None
-        for node in ast.walk(handler)
+        for node in walk(handler)
     )
 
 
@@ -58,7 +58,7 @@ class BroadExceptionHandler(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Try):
                 continue
             taxonomy_handled = False
@@ -102,7 +102,7 @@ class TaxonomyBypassRaise(Rule):
     }
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc

@@ -30,6 +30,7 @@ import heapq
 import random
 import signal
 import time
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
@@ -49,6 +50,12 @@ __all__ = ["RetryPolicy", "PoolConfig", "Job", "JobResult", "EvaluationPool"]
 #: starts — including crash replacements — before any job can reach it
 #: (the pipe is FIFO).
 _SETUP_KEY = "__pool_worker_setup__"
+
+#: The supervisor-side end of every worker pipe in this process.  A forked
+#: worker inherits all of them, its own included; while any copy stays
+#: open the worker's ``recv`` never sees EOF, so a worker whose supervisor
+#: was SIGKILLed would live on forever.  Each worker closes them on start.
+_SUPERVISOR_ENDS: "weakref.WeakSet" = weakref.WeakSet()  # repro: noqa[RACE002] -- fork-only by design: a spawned worker inherits no pipe ends, so its empty set is the right one
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,8 @@ def _worker_main(conn) -> None:
     # group; leave interrupt handling (and worker teardown) to the
     # supervisor rather than spraying one traceback per worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in list(_SUPERVISOR_ENDS):
+        end.close()
     # A forked worker inherits the parent's accumulated registry; start
     # from the merge identity so shipped snapshots count each attempt once.
     if obs_metrics.metrics_enabled():
@@ -224,6 +233,7 @@ class _Worker:
 
     def __init__(self, ctx, setup: "Sequence[tuple[Callable, tuple]]" = ()) -> None:
         self.conn, child = ctx.Pipe(duplex=True)
+        _SUPERVISOR_ENDS.add(self.conn)
         self.proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
         self.proc.start()
         child.close()

@@ -16,6 +16,7 @@ Three layers of coverage:
 import ast
 import math
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -26,15 +27,18 @@ from repro.lint.program import run_program_lint
 from repro.lint.program.baseline import Baseline, fingerprint_violation
 from repro.lint.program.symbols import ModuleInfo, ProgramModel
 from repro.lint.program.values import (
+    UNIT_BYTES,
     UNIT_CYCLES,
     UNIT_RATIO,
     UNIT_SCALAR,
     UNIT_UNKNOWN,
+    AbstractValue,
     Interval,
     ValueAnalysis,
     point,
     unit_add,
     unit_div,
+    unit_join,
     unit_mul,
     unit_of_name,
     units_clash,
@@ -136,6 +140,83 @@ class TestUnitLattice:
         assert unit_mul(UNIT_RATIO, UNIT_RATIO) == UNIT_RATIO
         assert unit_div(UNIT_CYCLES, UNIT_CYCLES) == UNIT_RATIO
         assert unit_div(UNIT_CYCLES, UNIT_RATIO) == UNIT_CYCLES
+
+
+# ---------------------------------------------------------------------------
+# Lattice fast path: joining or widening a value with itself
+# ---------------------------------------------------------------------------
+
+def _hull(a, b):
+    """Interval join as the lattice defines it (the full, non-shortcut path)."""
+    if a.lo != b.lo:
+        lo, lo_open = min((a.lo, a.lo_open), (b.lo, b.lo_open))
+    else:
+        lo, lo_open = a.lo, a.lo_open and b.lo_open
+    if a.hi != b.hi:
+        hi, hi_open = max((a.hi, a.hi_open), (b.hi, b.hi_open))
+    else:
+        hi, hi_open = a.hi, a.hi_open and b.hi_open
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+def _widened(old, new):
+    """Interval widening as the lattice defines it."""
+    if new.lo < old.lo:
+        lo, lo_open = -math.inf, False
+    else:
+        lo, lo_open = old.lo, old.lo_open and (new.lo > old.lo or new.lo_open)
+    if new.hi > old.hi:
+        hi, hi_open = math.inf, False
+    else:
+        hi, hi_open = old.hi, old.hi_open and (new.hi < old.hi or new.hi_open)
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+_ENDPOINTS = st.one_of(
+    st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _intervals(draw):
+    lo, hi = sorted((draw(_ENDPOINTS), draw(_ENDPOINTS)))
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+_VALUES = st.builds(
+    AbstractValue,
+    _intervals(),
+    st.sampled_from(
+        [UNIT_UNKNOWN, UNIT_SCALAR, UNIT_RATIO, UNIT_CYCLES, UNIT_BYTES]
+    ),
+)
+
+
+class TestLatticeFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(x=_intervals())
+    def test_interval_with_itself(self, x):
+        # An equal but distinct copy takes the full path.
+        twin = replace(x)
+        assert x.join(x) is x and x.widen(x) is x
+        assert x.join(x) == x.join(twin) == _hull(x, x)
+        assert x.widen(x) == x.widen(twin) == _widened(x, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_intervals(), y=_intervals())
+    def test_interval_with_another(self, x, y):
+        assert x.join(y) == _hull(x, y)
+        assert x.widen(y) == _widened(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=_VALUES, w=_VALUES)
+    def test_abstract_value_join(self, v, w):
+        assert v.join(v) is v
+        assert v.join(v) == v.join(replace(v))
+        assert v.join(w) == AbstractValue(
+            _hull(v.interval, w.interval), unit_join(v.unit, w.unit)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
@@ -38,9 +39,11 @@ N_JOBS = 4
 #: The supervisor-side script: run a 4-job pooled batch whose journal
 #: SIGKILLs the *whole process* right before flushing the final job's
 #: entry — i.e. after the worker already sent the result over its pipe.
-#: argv: <journal_path>
+#: Just before the kill it writes its workers' PIDs, one a line.
+#: argv: <journal_path> <pid_path>
 KILLED_RUN_SCRIPT = """
-import os, signal, sys
+import multiprocessing, os, signal, sys
+from pathlib import Path
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig
@@ -51,6 +54,7 @@ from repro.workloads.trace import Trace
 TRACE_ACCESSES = {accesses}
 TRACE_SEED = {seed}
 N_JOBS = {n_jobs}
+N_WORKERS = {n_workers}
 
 
 class DyingJournal(CheckpointJournal):
@@ -59,6 +63,9 @@ class DyingJournal(CheckpointJournal):
             # The worker's result for this job has been received (we are in
             # the on_result checkpoint callback) but not yet flushed: this
             # is precisely the crash window under test.
+            Path(sys.argv[2]).write_text("\\n".join(
+                str(child.pid) for child in multiprocessing.active_children()
+            ))
             os.kill(os.getpid(), signal.SIGKILL)
         super().put(key, value)
 
@@ -74,12 +81,69 @@ requests = [
     for i in range(N_JOBS)
 ]
 runtime = EvaluationRuntime(
-    pool=PoolConfig(max_workers=1, timeout_s=120),
+    pool=PoolConfig(max_workers=N_WORKERS, timeout_s=120),
     journal=DyingJournal(sys.argv[1]),
 )
 runtime.evaluate_many(requests)
 raise SystemExit("unreachable: the journal must have killed this process")
 """
+
+
+#: How long an orphaned worker may take to notice its supervisor is gone.
+ORPHAN_EXIT_S = 5.0
+
+
+def _run_killed_supervisor(tmp_path, n_workers):
+    """Run ``KILLED_RUN_SCRIPT``; return its journal path and worker PIDs."""
+    journal_path = tmp_path / "ckpt.jsonl"
+    pid_path = tmp_path / "workers.txt"
+    script = KILLED_RUN_SCRIPT.format(
+        accesses=TRACE_ACCESSES, seed=TRACE_SEED, n_jobs=N_JOBS,
+        n_workers=n_workers,
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    # Capture into files, not pipes: the forked pool workers inherit the
+    # supervisor's stdout/stderr, so after the SIGKILL a pipe would stay
+    # open until every worker had exited — run() would block on EOF.
+    stderr_path = tmp_path / "stderr.txt"
+    with stderr_path.open("wb") as stderr_fh:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(journal_path), str(pid_path)],
+            stdout=subprocess.DEVNULL, stderr=stderr_fh,
+            env=env, timeout=300,
+        )
+    # The run died by SIGKILL, not by finishing or erroring out.
+    assert proc.returncode == -signal.SIGKILL, stderr_path.read_text()
+    pids = [int(line) for line in pid_path.read_text().split()]
+    assert len(pids) == n_workers
+    return journal_path, pids
+
+
+def _running(pid):
+    """Whether *pid* is a live process (an unreaped zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _assert_workers_exit(pids):
+    """Every orphaned worker exits soon after its supervisor's SIGKILL."""
+    deadline = time.monotonic() + ORPHAN_EXIT_S
+    while time.monotonic() < deadline and any(_running(p) for p in pids):
+        time.sleep(0.05)
+    alive = [p for p in pids if _running(p)]
+    for pid in alive:  # do not leave them behind for the rest of the suite
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"pool workers outlived their supervisor: {alive}"
 
 
 def _trace():
@@ -100,24 +164,8 @@ def _requests(trace):
 
 class TestSupervisorDeathMidCheckpoint:
     def test_sigkill_between_result_send_and_journal_flush(self, tmp_path):
-        journal_path = tmp_path / "ckpt.jsonl"
-        script = KILLED_RUN_SCRIPT.format(
-            accesses=TRACE_ACCESSES, seed=TRACE_SEED, n_jobs=N_JOBS
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        # Capture into files, not pipes: the forked pool worker inherits the
-        # supervisor's stdout/stderr, so after the SIGKILL a pipe would stay
-        # open until the orphaned worker noticed — run() would block on EOF.
-        stderr_path = tmp_path / "stderr.txt"
-        with stderr_path.open("wb") as stderr_fh:
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(journal_path)],
-                stdout=subprocess.DEVNULL, stderr=stderr_fh,
-                env=env, timeout=300,
-            )
-        # The run died by SIGKILL, not by finishing or erroring out.
-        assert proc.returncode == -signal.SIGKILL, stderr_path.read_text()
+        journal_path, pids = _run_killed_supervisor(tmp_path, n_workers=1)
+        _assert_workers_exit(pids)
 
         # With one worker, jobs complete in submission order: every job but
         # the last was flushed before the kill; the last one's result died
@@ -140,6 +188,12 @@ class TestSupervisorDeathMidCheckpoint:
         clean = EvaluationRuntime().evaluate_many(_requests(trace))
         for key in clean:
             assert out[key].to_dict() == clean[key].to_dict(), key
+
+    def test_every_worker_of_a_two_worker_pool_exits(self, tmp_path):
+        # A worker forked second also inherits the first worker's
+        # supervisor end; neither may keep the other's pipe open.
+        _, pids = _run_killed_supervisor(tmp_path, n_workers=2)
+        _assert_workers_exit(pids)
 
 
 def _kill_worker_once(marker_path, config, trace, seed):
